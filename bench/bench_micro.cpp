@@ -81,7 +81,7 @@ void walk_with_view(std::vector<std::uint8_t>& bytes) {
 }
 
 /// The element-pipeline walk over the same nine stamping hops, exercising
-/// exactly what Network::walk_pipeline runs per hop: a HopRow load, a run
+/// exactly what Network::walk runs per hop: a HopRow load, a run
 /// list word from the personality bank, and the run_hop interpreter (here
 /// executing [TtlDecrement, TrustedStamp] — the fault-free stamping
 /// personality the census spends most of its time in).
@@ -258,7 +258,7 @@ double time_loop_ns(const std::vector<std::uint8_t>& original, Body&& body) {
 /// Walk nanoseconds for the telemetry record, net of the per-iteration
 /// buffer reset (the copy exists only so the benchmark can repeat — the
 /// simulator walks each buffer once). The committed BENCH_micro.json
-/// carries the legacy-vs-view ratio so the hot-path speedup claim is
+/// carries the mutate-vs-view ratio so the hot-path speedup claim is
 /// checkable from the artifact alone.
 double time_walk_ns(const std::vector<std::uint8_t>& original, bool use_view,
                     double reset_ns) {
@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
                                             9, 1, 64, 9).serialize();
   const double reset_ns =
       min_over_reps([&] { return time_loop_ns(original, [](auto&) {}); });
-  const double legacy_ns = min_over_reps(
+  const double mutate_ns = min_over_reps(
       [&] { return time_walk_ns(original, /*use_view=*/false, reset_ns); });
   const double view_ns = min_over_reps(
       [&] { return time_walk_ns(original, /*use_view=*/true, reset_ns); });
@@ -337,7 +337,7 @@ int main(int argc, char** argv) {
   // The batched walk over the same hops at widths 4/8/16: the per-probe
   // cost must beat the scalar interpreter (the ≥1.25x ratio at width 8 is
   // gated by check_bench_regression.sh) — that margin is what funds
-  // Campaign pass A's probe_batch default. Scalar and batch samples are
+  // Campaign pass A's batched walk. Scalar and batch samples are
   // *interleaved* within each repetition (not one metric's reps then the
   // next's) so a VM frequency window spanning several reps shifts both
   // sides of the gated ratio together instead of landing on only one.
@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
     batch8_ns = std::min(batch8_ns, rep_batch8_ns);
     batch16_ns = std::min(batch16_ns, rep_batch16_ns);
     // The gated speedup is a per-rep ratio over the best campaign-eligible
-    // width (>= 8, the probe_batch default's regime): a rep's four samples
+    // width (>= 8, campaign pass A's regime): a rep's four samples
     // are temporally adjacent, so they share the box's frequency regime,
     // while min-of-mins across reps can pair a fast scalar window with a
     // throttled batch one and report a phantom slowdown. The best rep is
@@ -387,17 +387,17 @@ int main(int argc, char** argv) {
                                                            rep_batch16_ns));
   }
   telemetry.value("walk_reset_ns", reset_ns);
-  telemetry.value("walk_legacy_ns", legacy_ns);
+  telemetry.value("walk_mutate_ns", mutate_ns);
   telemetry.value("walk_view_ns", view_ns);
-  telemetry.value("walk_speedup", legacy_ns / view_ns);
+  telemetry.value("walk_speedup", mutate_ns / view_ns);
   telemetry.value("walk_pipeline_ns", pipeline_ns);
   telemetry.value("walk_batch4_ns", batch4_ns);
   telemetry.value("walk_batch8_ns", batch8_ns);
   telemetry.value("walk_batch16_ns", batch16_ns);
   telemetry.value("walk_batch_speedup", batch_speedup);
   std::printf("walk (9 stamping hops): mutate.h %.1f ns, view %.1f ns, "
-              "pipeline %.1f ns, speedup %.2fx\n", legacy_ns, view_ns,
-              pipeline_ns, legacy_ns / view_ns);
+              "pipeline %.1f ns, speedup %.2fx\n", mutate_ns, view_ns,
+              pipeline_ns, mutate_ns / view_ns);
   std::printf("batched walk: width 4 %.1f ns, width 8 %.1f ns, width 16 "
               "%.1f ns per probe (batch speedup %.2fx over scalar "
               "pipeline)\n", batch4_ns, batch8_ns, batch16_ns, batch_speedup);

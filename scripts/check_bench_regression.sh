@@ -147,12 +147,12 @@ fi
 
 # The batched walk engine (walk_batch_pipeline) must beat the scalar
 # interpreter per probe. walk_batch_speedup is bench_micro's best per-rep
-# ratio of scalar over the best campaign-eligible width (batch >= 8, the
-# probe_batch default regime): both sides of each rep's ratio are
+# ratio of scalar over the best campaign-eligible width (batch >= 8,
+# campaign pass A's regime): both sides of each rep's ratio are
 # temporally adjacent samples of the same run, so the ratio is machine-
 # speed-independent — it gates the batching win itself, not the box's
-# frequency that day. The floor funds Campaign pass A's probe_batch
-# default: if batching stops paying, this trips before the campaign
+# frequency that day. The floor funds Campaign pass A's batched walk:
+# if batching stops paying, this trips before the campaign
 # quietly slows down.
 walk_batch_speedup_floor=${RROPT_WALK_BATCH_SPEEDUP:-1.25}
 fresh_walk_batch8=$(extract "$fresh" walk_batch8_ns)

@@ -44,7 +44,7 @@ for f in bench_telemetry/BENCH_*.json; do
 done
 
 # Headline walk numbers: the batched engine's per-probe win over the
-# scalar interpreter (what funds Campaign pass A's probe_batch default).
+# scalar interpreter (what funds Campaign pass A's batched walk).
 # walk_batch_speedup is bench_micro's best per-rep same-window ratio.
 micro=bench_telemetry/BENCH_micro.json
 if [[ -f "$micro" ]]; then

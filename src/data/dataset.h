@@ -76,7 +76,7 @@ class CampaignDataset {
       std::span<const std::uint8_t> bytes);
 
   /// FNV-1a over the serialized bytes: a stable fingerprint for asserting
-  /// that two runs (different thread counts, compiled-FIB on/off) produced
+  /// that two runs (different thread counts, say) produced
   /// the same dataset without keeping both in memory.
   [[nodiscard]] std::uint64_t content_hash() const;
 

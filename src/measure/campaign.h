@@ -69,33 +69,13 @@ struct CampaignConfig {
   /// sim/fault.h). The default is inert: a campaign with all fault rates
   /// at zero is bit-identical to one that predates fault injection.
   sim::FaultParams faults;
-  /// Resolve campaign host paths through a compiled forwarding table
-  /// (routing/fib.h) built per destination block instead of the shared
-  /// path cache. Contents are bit-identical either way (asserted by the
-  /// FIB equivalence test); this knob exists for A/B benchmarking and as
-  /// a kill switch.
-  bool use_compiled_fib = true;
-  /// Probes driven through the network per batched walk in the ping-RR
-  /// study (see sim::WalkBatch). 1 = the scalar probe_into path, kept as a
-  /// differential baseline; values are clamped to
-  /// [1, sim::WalkBatch::kMaxProbes]. Contents are bit-identical at any
-  /// batch width: every per-probe decision is counter-based and token
-  /// consumption is deferred to the serial replay either way.
-  int probe_batch = 16;
-  /// Replay each chunk's recorded token consumes sharded by router on the
-  /// worker pool (buckets are per-router independent, so per-router
-  /// canonical order equals global canonical order). Chunks where a kill
-  /// would have suppressed later consumes fall back to the serial replay
-  /// for that chunk, keeping results bit-identical to shard_replay=false.
-  /// Effective only when the pool has more than one thread.
-  bool shard_replay = true;
   /// Streaming mode: process destinations in blocks of this many,
   /// compiling the forwarding table per block, so resident path state is
   /// bounded by the block size instead of the census size. 0 = one block
   /// spanning every destination, which is bit-identical to the
   /// pre-streaming campaign. Nonzero blocks reorder the per-VP probe
   /// sequences (block-major), so contents differ from block size to block
-  /// size — but not with thread count or the FIB knob.
+  /// size — but not with thread count.
   std::size_t stream_block = 0;
 
   /// Sizes `stream_block` from a resident-memory budget for the per-block
@@ -136,13 +116,13 @@ struct CampaignAllocStats {
 };
 
 /// Wall-time split of the ping-RR study: pass A (parallel probe streams)
-/// vs pass B (token replay — the campaign's serial tail when sharding is
-/// off or falls back). The serial fraction pass_b / (pass_a + pass_b) is
-/// the Amdahl ceiling benchmarks track; sharded_chunks /
-/// serial_fallback_chunks count how often the replay actually ran wide.
+/// vs pass B (serial token replay — the campaign's serial tail). The
+/// serial fraction pass_b / (pass_a + pass_b) is the Amdahl ceiling
+/// benchmarks track.
 struct CampaignPhaseStats {
   double pass_a_seconds = 0.0;
   double pass_b_seconds = 0.0;
+  // Never written (always 0): the census benchmark's run record reads them.
   std::uint64_t sharded_chunks = 0;
   std::uint64_t serial_fallback_chunks = 0;
   /// Probes this campaign drove through the network (ping + ping-RR
@@ -225,7 +205,7 @@ class Campaign {
     return alloc_stats_;
   }
 
-  /// Ping-RR study wall-time split and replay sharding telemetry.
+  /// Ping-RR study wall-time split.
   [[nodiscard]] const CampaignPhaseStats& phase_stats() const noexcept {
     return phase_stats_;
   }

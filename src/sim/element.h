@@ -22,13 +22,13 @@
 // topology freeze and Network::walk just executes the list. New router
 // personalities become new element compositions, not new branches.
 //
-// Contract: element semantics are *bit-identical* to the legacy branch
-// forest (kept behind RROPT_LEGACY_WALK for one release). Every random
-// decision is a counter-based draw via walk_draw_key/hash_chance below, so
-// a packet's fate is a pure function of (seed, flow, leg, hop) no matter
-// which engine walks it or how many threads are running. The differential
-// conformance harness (tests/pipeline_differential_test.cpp) proves the
-// equivalence across golden datasets, fault plans and thread counts.
+// Contract: element semantics are *bit-identical* to the branch-forest
+// walk they replaced. Every random decision is a counter-based draw via
+// walk_draw_key/hash_chance below, so a packet's fate is a pure function
+// of (seed, flow, leg, hop) no matter how many threads are running. That
+// walk has been deleted; tests/pipeline_differential_test.cpp holds its
+// campaign outputs (content hash and every NetCounters field) as pins
+// across fault plans, and checks them at several thread counts.
 //
 // Hot-path rules: element process() bodies are hot regions — rropt_lint
 // bans heap allocation and stream IO inside them without needing explicit

@@ -29,8 +29,9 @@
 //   * a transit filter shadows an edge filter (it drops strictly more);
 //   * hidden routers simply have no TTL element.
 //
-// The result is bit-identical to the legacy branch forest at every
-// observable byte (proven by tests/pipeline_differential_test.cpp) while
+// The result is bit-identical to the retired branch-forest walk at every
+// observable byte (its campaign outputs are pinned in
+// tests/pipeline_differential_test.cpp) while
 // making personalities data: a new router behaviour is a new element plus
 // a compilation rule, not a new branch in Network::walk.
 #pragma once

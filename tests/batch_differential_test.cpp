@@ -1,34 +1,28 @@
-// Batched-dataplane differential conformance harness.
+// Batched-dataplane conformance at the prober layer.
 //
-// PR "batched probe dataplane" added two independent execution choices to
-// the campaign, both claiming *bit-identity* with the paths they
-// accelerate — not statistical similarity:
+// Prober::probe_batch_into drives up to sim::WalkBatch::kMaxProbes probes
+// through Network::send_batch's SoA kernel and claims *bit-identity* with
+// calling Prober::probe_into once per slot — not statistical similarity.
+// probe_into stays in the tree as that reference. This harness proves the
+// claim per probe: the same probe stream is sent batched through one
+// network and scalar (one fresh SendContext per probe) through a second
+// network over the same frozen world, and every slot's ProbeResult, its
+// NetCounters tally, its deferred token-bucket events and its counted_*
+// replay flags must match, at batch widths {1, 3, 7, 16} and fault rates
+// {0, 1%, 10%}. Campaign-level outputs are pinned separately
+// (tests/pipeline_differential_test.cpp).
 //
-//   * probe_batch > 1 drives ping-RR exchanges through the SoA batch
-//     kernel (sim::walk_batch_pipeline + Network::send_batch) instead of
-//     one scalar probe_into per destination;
-//   * shard_replay fans each chunk's pass-B token replay across the
-//     worker pool by router, falling back to the classic serial replay
-//     for any chunk where a mid-probe bucket kill would have suppressed
-//     later consumes.
-//
-// This harness proves both claims by running whole campaigns on the same
-// frozen world and comparing frozen datasets (content_hash plus full
-// equality) and the aggregate network counters: batched-vs-scalar at
-// fault rates {0, 1%, 10%} x worker threads {1, 2, 8}, ragged batch
-// widths, and sharded-vs-serial replay including a bucket-contention
-// world built so the fallback path demonstrably runs.
-//
-// When this file fails, tests/pipeline_differential_test.cpp (scalar
-// engine conformance) and tests/element_test.cpp (per-element specs) say
-// which layer diverged.
+// When this file fails, tests/element_test.cpp (per-element specs) says
+// which element diverged.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <algorithm>
+#include <cstddef>
+#include <initializer_list>
+#include <vector>
 
-#include "data/dataset.h"
-#include "measure/campaign.h"
 #include "measure/testbed.h"
+#include "probe/prober.h"
 #include "sim/fault.h"
 #include "sim/network.h"
 
@@ -48,30 +42,35 @@ class BatchDifferentialTest : public ::testing::Test {
     testbed_ = nullptr;
   }
 
-  struct Run {
-    data::CampaignDataset dataset;
-    sim::NetCounters counters;
-    CampaignPhaseStats phases;
-  };
-
-  static Run run_campaign(Testbed& testbed, int probe_batch, bool shard_replay,
-                          double fault_rate, int threads) {
-    CampaignConfig config;
-    config.threads = threads;
-    config.probe_batch = probe_batch;
-    config.shard_replay = shard_replay;
-    if (fault_rate > 0.0) {
-      config.faults = sim::FaultParams::uniform(fault_rate);
-    }
-    Campaign campaign = Campaign::run(testbed, config);
-    const CampaignPhaseStats phases = campaign.phase_stats();
-    return Run{
-        data::CampaignDataset::from_campaign(std::move(campaign), "batch"),
-        testbed.network().counters(), phases};
+  /// A fresh network over the suite's world. Each side of a comparison
+  /// gets its own, so device IP-ID counters start and advance alike.
+  static Testbed twin() {
+    TestbedConfig config;
+    config.topo_params = topo::TopologyParams::test_scale();
+    return Testbed{testbed_->topology_ptr(), testbed_->behaviors_ptr(),
+                   config};
   }
 
-  /// The aggregate counters are part of the contract too: the batched
-  /// engine must charge every drop to the same cause the scalar one does.
+  static void expect_results_equal(const probe::ProbeResult& a,
+                                   const probe::ProbeResult& b) {
+    EXPECT_EQ(a.target, b.target);
+    EXPECT_EQ(a.type, b.type);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.responder, b.responder);
+    EXPECT_EQ(a.rr_option_in_reply, b.rr_option_in_reply);
+    EXPECT_EQ(a.rr_recorded, b.rr_recorded);
+    EXPECT_EQ(a.rr_free_slots, b.rr_free_slots);
+    EXPECT_EQ(a.ts_option_in_reply, b.ts_option_in_reply);
+    EXPECT_EQ(a.ts_entries, b.ts_entries);
+    EXPECT_EQ(a.ts_overflow, b.ts_overflow);
+    EXPECT_EQ(a.quoted_rr_present, b.quoted_rr_present);
+    EXPECT_EQ(a.quoted_rr, b.quoted_rr);
+    EXPECT_EQ(a.quoted_rr_free_slots, b.quoted_rr_free_slots);
+    EXPECT_EQ(a.reply_ip_id, b.reply_ip_id);
+    EXPECT_EQ(a.send_time, b.send_time);
+    EXPECT_EQ(a.rtt, b.rtt);
+  }
+
   static void expect_counters_equal(const sim::NetCounters& a,
                                     const sim::NetCounters& b) {
     EXPECT_EQ(a.sent, b.sent);
@@ -86,25 +85,68 @@ class BatchDifferentialTest : public ::testing::Test {
     EXPECT_EQ(a.port_unreachables, b.port_unreachables);
   }
 
-  static void expect_runs_equal(const Run& candidate, const Run& reference) {
-    EXPECT_EQ(candidate.dataset.content_hash(),
-              reference.dataset.content_hash());
-    EXPECT_EQ(candidate.dataset, reference.dataset);
-    expect_counters_equal(candidate.counters, reference.counters);
+  static void expect_traces_equal(const sim::ProbeTrace& a,
+                                  const sim::ProbeTrace& b) {
+    ASSERT_EQ(a.events.size(), b.events.size());
+    for (std::size_t e = 0; e < a.events.size(); ++e) {
+      EXPECT_EQ(a.events[e].router, b.events[e].router);
+      EXPECT_EQ(a.events[e].time, b.events[e].time);
+      EXPECT_EQ(a.events[e].reply_leg, b.events[e].reply_leg);
+    }
+    EXPECT_EQ(a.counted_delivered, b.counted_delivered);
+    EXPECT_EQ(a.counted_response, b.counted_response);
+    EXPECT_EQ(a.counted_ttl_error, b.counted_ttl_error);
+    EXPECT_EQ(a.counted_port_unreachable, b.counted_port_unreachable);
+    EXPECT_EQ(a.doomed, b.doomed);
+    EXPECT_EQ(a.doom_charged_loss, b.doom_charged_loss);
+    EXPECT_EQ(a.doom_after_events, b.doom_after_events);
   }
 
-  /// One scalar reference (probe_batch 1, single-threaded — the exact
-  /// per-probe path the batch kernel replaced) against the batched engine
-  /// at every thread count. Batched runs agreeing with the same reference
-  /// also proves they agree with each other.
-  static void expect_batched_agrees(double fault_rate) {
-    const Run scalar = run_campaign(*testbed_, 1, true, fault_rate, 1);
-    for (const int threads : {1, 2, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << "fault_rate " << fault_rate << " threads " << threads);
-      const Run batched = run_campaign(*testbed_, 16, true, fault_rate,
-                                       threads);
-      expect_runs_equal(batched, scalar);
+  /// Sends one VP's ping-RR stream over the world's destinations in
+  /// consecutive batches of `widths` (cycled until `probes` are sent), and
+  /// the same stream scalar through a twin network, comparing every slot.
+  static void expect_batches_match_scalar(double fault_rate,
+                                          std::initializer_list<int> widths,
+                                          std::size_t probes) {
+    Testbed batched_bed = twin();
+    Testbed scalar_bed = twin();
+    const sim::FaultPlan plan{fault_rate > 0.0
+                                  ? sim::FaultParams::uniform(fault_rate)
+                                  : sim::FaultParams{}};
+    batched_bed.network().set_fault_plan(plan);
+    scalar_bed.network().set_fault_plan(plan);
+
+    const topo::HostId vp = testbed_->vps().front()->host;
+    auto batched = batched_bed.make_prober(vp, 20.0);
+    auto scalar = scalar_bed.make_prober(vp, 20.0);
+    const auto& topology = testbed_->topology();
+    const auto dests = topology.destinations();
+
+    std::size_t next = 0;
+    for (auto width = widths.begin(); next < probes;) {
+      const std::size_t m = std::min<std::size_t>(
+          static_cast<std::size_t>(*width), probes - next);
+      std::vector<probe::ProbeSpec> specs;
+      for (std::size_t i = 0; i < m; ++i) {
+        specs.push_back(probe::ProbeSpec::ping_rr(
+            topology.host_at(dests[(next + i) % dests.size()]).address));
+      }
+      std::vector<sim::SendContext> ctxs(m);
+      std::vector<probe::ProbeResult> results(m);
+      batched.probe_batch_into(specs, ctxs, results);
+      for (std::size_t i = 0; i < m; ++i) {
+        SCOPED_TRACE(testing::Message() << "fault_rate " << fault_rate
+                                        << " width " << m << " probe "
+                                        << next + i);
+        sim::SendContext ctx;
+        probe::ProbeResult reference;
+        scalar.probe_into(specs[i], &ctx, reference);
+        expect_results_equal(results[i], reference);
+        expect_counters_equal(ctxs[i].counters, ctx.counters);
+        expect_traces_equal(ctxs[i].trace, ctx.trace);
+      }
+      next += m;
+      if (++width == widths.end()) width = widths.begin();
     }
   }
 
@@ -113,77 +155,32 @@ class BatchDifferentialTest : public ::testing::Test {
 
 Testbed* BatchDifferentialTest::testbed_ = nullptr;
 
+constexpr std::size_t kProbesPerWidth = 96;
+
 TEST_F(BatchDifferentialTest, BatchedBitIdenticalWithoutFaults) {
-  expect_batched_agrees(0.0);
+  for (const int width : {1, 3, 7, 16}) {
+    expect_batches_match_scalar(0.0, {width}, kProbesPerWidth);
+  }
 }
 
 TEST_F(BatchDifferentialTest, BatchedBitIdenticalAtOnePercentFaults) {
-  expect_batched_agrees(0.01);
+  for (const int width : {1, 3, 7, 16}) {
+    expect_batches_match_scalar(0.01, {width}, kProbesPerWidth);
+  }
 }
 
 TEST_F(BatchDifferentialTest, BatchedBitIdenticalAtTenPercentFaults) {
-  expect_batched_agrees(0.10);
+  for (const int width : {1, 3, 7, 16}) {
+    expect_batches_match_scalar(0.10, {width}, kProbesPerWidth);
+  }
 }
 
-/// Widths that never divide the per-chunk probe count exercise the ragged
-/// tail batch (live mask with fewer slots than kMaxProbes) on every chunk.
+/// Mixed widths on one probe stream: the prober's clock and sequence
+/// numbers must carry across ragged batches exactly as across scalar
+/// probes.
 TEST_F(BatchDifferentialTest, RaggedBatchWidthsBitIdentical) {
-  const Run scalar = run_campaign(*testbed_, 1, true, 0.0, 1);
-  for (const int width : {3, 7}) {
-    SCOPED_TRACE(testing::Message() << "probe_batch " << width);
-    const Run batched = run_campaign(*testbed_, width, true, 0.0, 2);
-    expect_runs_equal(batched, scalar);
-  }
-}
-
-/// Sharded pass-B replay vs the classic serial replay, same batched pass
-/// A — on a world where the shards actually *commit*. The default world's
-/// strict source-proximate limiter VPs (12-45 pps buckets probed at
-/// 20 pps) kill mid-probe in nearly every chunk, so its sharded runs live
-/// on the fallback path (proven equal by expect_batched_agrees and the
-/// contention test below); with strict limiters off, the generous
-/// 250-4000 pps buckets never deplete and every chunk must resolve
-/// sharded.
-TEST_F(BatchDifferentialTest, ShardedReplayMatchesSerialReplay) {
-  TestbedConfig config;
-  config.topo_params = topo::TopologyParams::test_scale();
-  config.topo_params.seed = 1701;
-  config.behavior_params.strict_limited_vps = 0;
-  Testbed calm{config};
-  for (const double fault_rate : {0.0, 0.01}) {
-    const Run serial = run_campaign(calm, 16, false, fault_rate, 2);
-    EXPECT_EQ(serial.phases.sharded_chunks, 0u);  // knob actually off
-    for (const int threads : {2, 8}) {
-      SCOPED_TRACE(testing::Message()
-                   << "fault_rate " << fault_rate << " threads " << threads);
-      const Run sharded = run_campaign(calm, 16, true, fault_rate, threads);
-      expect_runs_equal(sharded, serial);
-      EXPECT_GT(sharded.phases.sharded_chunks, 0u);
-    }
-  }
-}
-
-/// The fallback property: a world where every router polices its options
-/// slow path with a near-empty bucket makes mid-probe kills routine, so
-/// the phantom-consume validation must reject chunks — and the chunks it
-/// rejects must replay serially to the exact serial-bytes result. This is
-/// the half of the sharding proof the calm default world never reaches.
-TEST_F(BatchDifferentialTest, ShardedReplayFallsBackUnderContention) {
-  TestbedConfig config;
-  config.topo_params = topo::TopologyParams::test_scale();
-  config.topo_params.seed = 1701;
-  config.behavior_params.router_rate_limited = 1.0;
-  config.behavior_params.generous_limit_pps_min = 1;
-  config.behavior_params.generous_limit_pps_max = 2;
-  Testbed contended{config};
-
-  const Run serial = run_campaign(contended, 16, false, 0.0, 2);
-  const Run sharded = run_campaign(contended, 16, true, 0.0, 2);
-  expect_runs_equal(sharded, serial);
-  // The contended world must actually exercise the fallback — if buckets
-  // never killed mid-probe here, the test world went stale, not the code.
-  EXPECT_GT(sharded.phases.serial_fallback_chunks, 0u);
-  EXPECT_GT(serial.counters.dropped_rate_limit, 0u);
+  expect_batches_match_scalar(0.0, {3, 16, 1, 7}, 4 * kProbesPerWidth);
+  expect_batches_match_scalar(0.10, {7, 1, 16, 3}, 4 * kProbesPerWidth);
 }
 
 }  // namespace

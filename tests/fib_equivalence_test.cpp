@@ -1,82 +1,137 @@
-// End-to-end equivalence for the compiled forwarding plane: a campaign's
-// frozen dataset must be byte-identical (same content hash) whether paths
-// come from the compiled FIB or the legacy sharded cache + stitcher, at
-// any thread count, and — for a fixed block size — in streaming mode too.
-// This is the acceptance gate that lets use_compiled_fib default to on.
+// Routing-layer conformance for the compiled forwarding plane: for every
+// (campaign source, block destination) pair a CompiledFib covers, its
+// forward and reverse lookups must reproduce PathStitcher::host_path hop
+// for hop, and must report kUnroutable exactly when the stitcher finds no
+// path. The stitcher stays in the tree as that reference (and, through
+// the PathCache, as the FIB's miss fallback). Campaign outputs built on
+// the FIB are pinned in tests/pipeline_differential_test.cpp; thread
+// independence per stream block is CampaignDeterminism's.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <span>
+#include <vector>
 
-#include "data/dataset.h"
-#include "measure/campaign.h"
 #include "measure/testbed.h"
+#include "routing/fib.h"
+#include "routing/stitcher.h"
 
 namespace rr {
 namespace {
 
-using measure::Campaign;
-using measure::CampaignConfig;
-using measure::Testbed;
-using measure::TestbedConfig;
+using route::CompiledFib;
+using route::PathHop;
 
-std::uint64_t campaign_hash(Testbed& testbed, const CampaignConfig& config) {
-  const Campaign campaign = Campaign::run(testbed, config);
-  return data::CampaignDataset::from_campaign(campaign, "fib-equivalence")
-      .content_hash();
-}
-
-TEST(FibEquivalence, DatasetHashIdenticalAcrossFibAndThreads) {
-  TestbedConfig config;
-  config.topo_params = topo::TopologyParams::test_scale();
-  config.topo_params.seed = 20170331;
-  Testbed testbed{config};
-
-  CampaignConfig reference_config;
-  reference_config.use_compiled_fib = false;
-  reference_config.threads = 1;
-  const std::uint64_t reference = campaign_hash(testbed, reference_config);
-
-  for (const bool fib : {false, true}) {
-    for (const int threads : {1, 4}) {
-      if (!fib && threads == 1) continue;  // that run produced `reference`
-      CampaignConfig campaign_config;
-      campaign_config.use_compiled_fib = fib;
-      campaign_config.threads = threads;
-      EXPECT_EQ(campaign_hash(testbed, campaign_config), reference)
-          << "fib=" << fib << " threads=" << threads;
-    }
+void expect_hops_equal(const std::vector<PathHop>& fib,
+                       const std::vector<PathHop>& stitched) {
+  ASSERT_EQ(fib.size(), stitched.size());
+  for (std::size_t h = 0; h < fib.size(); ++h) {
+    EXPECT_EQ(fib[h].router, stitched[h].router) << "hop " << h;
+    EXPECT_EQ(fib[h].ingress, stitched[h].ingress) << "hop " << h;
+    EXPECT_EQ(fib[h].egress, stitched[h].egress) << "hop " << h;
   }
 }
 
-TEST(FibEquivalence, StreamingHashIdenticalAcrossFibAndThreads) {
-  TestbedConfig config;
-  config.topo_params = topo::TopologyParams::test_scale();
-  config.topo_params.seed = 20170331;
-  Testbed testbed{config};
+/// One lookup against the stitcher's answer for the same directed pair.
+void expect_lookup_matches(CompiledFib::Lookup lookup,
+                           const std::vector<PathHop>& fib_hops,
+                           route::PathStitcher& stitcher, topo::HostId from,
+                           topo::HostId to) {
+  std::vector<PathHop> stitched;
+  const bool routable = stitcher.host_path(from, to, stitched);
+  ASSERT_NE(lookup, CompiledFib::Lookup::kMiss);
+  ASSERT_EQ(lookup == CompiledFib::Lookup::kHit, routable);
+  if (routable) expect_hops_equal(fib_hops, stitched);
+}
 
-  // A block size smaller than the destination count, so the campaign
-  // actually iterates several blocks (test_scale yields a few hundred
-  // destinations).
-  constexpr std::size_t kBlock = 64;
+class FibEquivalence : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kBlock = 64;
 
-  CampaignConfig reference_config;
-  reference_config.use_compiled_fib = false;
-  reference_config.threads = 1;
-  reference_config.stream_block = kBlock;
-  const std::uint64_t reference = campaign_hash(testbed, reference_config);
+  void SetUp() override {
+    measure::TestbedConfig config;
+    config.topo_params = topo::TopologyParams::test_scale();
+    config.topo_params.seed = 20170331;
+    testbed_ = std::make_unique<measure::Testbed>(config);
+    // The campaign's row set: every VP plus the plain-ping probe host.
+    for (const auto* vp : testbed_->vps()) sources_.push_back(vp->host);
+    if (topology().probe_host() != topo::kNoHost) {
+      sources_.push_back(topology().probe_host());
+    }
+    // A block from the middle of the census, as a streaming campaign
+    // compiles one.
+    const auto dests = topology().destinations();
+    ASSERT_GE(dests.size(), 2 * kBlock);
+    block_ = dests.subspan(dests.size() / 2 - kBlock / 2, kBlock);
+    fib_ = CompiledFib::build(stitcher(), sources_, block_);
+  }
 
-  for (const bool fib : {false, true}) {
-    for (const int threads : {1, 4}) {
-      if (!fib && threads == 1) continue;
-      CampaignConfig campaign_config;
-      campaign_config.use_compiled_fib = fib;
-      campaign_config.threads = threads;
-      campaign_config.stream_block = kBlock;
-      EXPECT_EQ(campaign_hash(testbed, campaign_config), reference)
-          << "fib=" << fib << " threads=" << threads;
+  const topo::Topology& topology() const { return testbed_->topology(); }
+  route::PathStitcher& stitcher() { return testbed_->network().stitcher(); }
+
+  /// A destination is covered when the block compiled its access router:
+  /// the table stores one spine per (source, destination access router).
+  bool covered(topo::HostId dst) const {
+    const auto ar = topology().host_at(dst).access_router;
+    return std::any_of(block_.begin(), block_.end(), [&](topo::HostId d) {
+      return topology().host_at(d).access_router == ar;
+    });
+  }
+
+  std::unique_ptr<measure::Testbed> testbed_;
+  std::vector<topo::HostId> sources_;
+  std::span<const topo::HostId> block_;
+  std::shared_ptr<const CompiledFib> fib_;
+};
+
+TEST_F(FibEquivalence, ForwardAndReverseMatchStitcher) {
+  std::size_t checked = 0;
+  std::size_t unroutable = 0;
+  std::vector<PathHop> hops;
+  for (const topo::HostId src : sources_) {
+    // Every census destination, not just the block: one outside it that
+    // shares a block destination's access router is answered from the
+    // same spine and must match too.
+    for (const topo::HostId dst : topology().destinations()) {
+      if (!covered(dst)) continue;
+      SCOPED_TRACE(testing::Message() << "src " << src << " dst " << dst);
+      const auto fwd = fib_->forward(src, dst, hops);
+      expect_lookup_matches(fwd, hops, stitcher(), src, dst);
+      const auto rev = fib_->reverse(dst, src, hops);
+      expect_lookup_matches(rev, hops, stitcher(), dst, src);
+      unroutable += (fwd == CompiledFib::Lookup::kUnroutable ? 1 : 0) +
+                    (rev == CompiledFib::Lookup::kUnroutable ? 1 : 0);
+      checked += 2;
     }
   }
+  EXPECT_GE(checked, 2 * sources_.size() * block_.size());
+  // The census is mostly routable; a table answering kUnroutable
+  // everywhere would pass the loop above vacuously.
+  EXPECT_LT(unroutable, checked / 2);
+}
+
+TEST_F(FibEquivalence, UncoveredPairsMiss) {
+  // Outside the source rows or the block's access routers the table has
+  // no answer, and the network falls back to the path cache.
+  const topo::HostId outsider = block_.front();  // a host, but not a row
+  std::vector<PathHop> hops;
+  EXPECT_EQ(fib_->forward(outsider, block_.back(), hops),
+            CompiledFib::Lookup::kMiss);
+  EXPECT_EQ(fib_->reverse(block_.back(), outsider, hops),
+            CompiledFib::Lookup::kMiss);
+  std::size_t uncovered = 0;
+  for (const topo::HostId dst : topology().destinations()) {
+    if (covered(dst)) continue;
+    ++uncovered;
+    EXPECT_EQ(fib_->forward(sources_.front(), dst, hops),
+              CompiledFib::Lookup::kMiss);
+    EXPECT_EQ(fib_->reverse(dst, sources_.front(), hops),
+              CompiledFib::Lookup::kMiss);
+  }
+  EXPECT_GT(uncovered, 0u);
 }
 
 }  // namespace

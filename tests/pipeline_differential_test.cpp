@@ -1,24 +1,27 @@
-// Pipeline-vs-legacy differential conformance harness.
+// Pipeline conformance against the retired legacy walk's pinned outputs.
 //
-// The compiled element dataplane (sim/pipeline.h) claims *bit-identity*
-// with the legacy branch-forest walk it replaced — not statistical
-// similarity: the same campaign must produce byte-for-byte the same
-// dataset (and the same content_hash) no matter which engine walks the
-// packets, at any fault rate and any thread count. This harness proves it
-// by running whole campaigns under both engines and comparing frozen
-// datasets at fault rates {0, 1%, 10%} × worker threads {1, 2, 8}, plus a
-// randomized element-composition property test: arbitrary valid element
-// chains over real packets must preserve the dataplane's conservation
-// invariants (TTL monotonicity, option geometry bounds, deferred
-// token-bucket event accounting) even for compositions the run-list
-// compiler would never emit.
+// The compiled element dataplane (sim/pipeline.h) replaced a branch-forest
+// walk and claims *bit-identity* with it — not statistical similarity.
+// While both engines were in the tree this harness ran whole campaigns
+// under each and compared frozen datasets; the legacy walk has since been
+// deleted, and its campaign outputs on this harness's inputs live on as
+// the pins below (content_hash plus all ten NetCounters fields, captured
+// single-threaded with the legacy engine before its removal). The
+// pipeline must meet every pin at worker threads {1, 2, 8}, at fault rates
+// {0, 1%, 10%}, and on a bucket-contention world whose near-empty 1-2 pps
+// CoPP buckets make the serial token replay kill mid-probe on most chunks.
+//
+// Also here: a randomized element-composition property test — arbitrary
+// valid element chains over real packets must preserve the dataplane's
+// conservation invariants (TTL monotonicity, option geometry bounds,
+// deferred token-bucket event accounting) even for compositions the
+// run-list compiler would never emit.
 //
 // The per-element spec tables live in tests/element_test.cpp; when this
 // file fails, that one says which element diverged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -35,42 +38,52 @@
 namespace rr::measure {
 namespace {
 
+/// One campaign's pinned outputs on the test_scale world with seed 1701
+/// and the default CampaignConfig.
+struct CampaignPin {
+  const char* name;
+  bool contended;  // every router polices options with a 1-2 pps bucket
+  double fault_rate;
+  std::uint64_t content_hash;
+  sim::NetCounters counters;
+};
+
+// NetCounters order: sent, delivered, responses, dropped_loss,
+// dropped_filter, dropped_rate_limit, dropped_ttl, dropped_unroutable,
+// ttl_errors, port_unreachables.
+constexpr CampaignPin kPins[] = {
+    {"no faults", false, 0.0, 0xc9b783d26a6007ffULL,
+     {15726, 12757, 8056, 710, 2281, 727, 0, 0, 0, 0}},
+    {"1% faults", false, 0.01, 0x2f9b324d038a61f8ULL,
+     {15926, 10399, 5869, 2818, 2083, 1990, 0, 0, 0, 0}},
+    {"10% faults", false, 0.10, 0x6fa4d5cfd67108b8ULL,
+     {16999, 2221, 524, 9090, 1059, 5712, 0, 0, 0, 0}},
+    {"contended", true, 0.0, 0x93395cce9e64a42aULL,
+     {15726, 2287, 815, 114, 232, 13611, 0, 0, 0, 0}},
+};
+
+TestbedConfig pinned_world(bool contended) {
+  TestbedConfig config;
+  config.topo_params = topo::TopologyParams::test_scale();
+  config.topo_params.seed = 1701;
+  if (contended) {
+    config.behavior_params.router_rate_limited = 1.0;
+    config.behavior_params.generous_limit_pps_min = 1;
+    config.behavior_params.generous_limit_pps_max = 2;
+  }
+  return config;
+}
+
 class PipelineDifferentialTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    TestbedConfig config;
-    config.topo_params = topo::TopologyParams::test_scale();
-    config.topo_params.seed = 1701;
-    testbed_ = new Testbed{config};
-  }
+  static void SetUpTestSuite() { testbed_ = new Testbed{pinned_world(false)}; }
   static void TearDownTestSuite() {
     delete testbed_;
     testbed_ = nullptr;
   }
 
-  struct EngineRun {
-    data::CampaignDataset dataset;
-    sim::NetCounters counters;
-  };
-
-  static EngineRun run_engine(bool legacy, double fault_rate, int threads) {
-    sim::Network& net = testbed_->network();
-    net.set_walk_engine(legacy);
-    CampaignConfig config;
-    config.threads = threads;
-    if (fault_rate > 0.0) {
-      config.faults = sim::FaultParams::uniform(fault_rate);
-    }
-    Campaign campaign = Campaign::run(*testbed_, config);
-    EngineRun result{
-        data::CampaignDataset::from_campaign(std::move(campaign), "diff"),
-        net.counters()};
-    net.set_walk_engine(false);
-    return result;
-  }
-
-  /// The aggregate counters are part of the WalkResult contract too: both
-  /// engines must charge every drop to the same cause.
+  /// Every NetCounters field is part of the pin: the pipeline must charge
+  /// every drop to the same cause the legacy walk did.
   static void expect_counters_equal(const sim::NetCounters& a,
                                     const sim::NetCounters& b) {
     EXPECT_EQ(a.sent, b.sent);
@@ -85,19 +98,20 @@ class PipelineDifferentialTest : public ::testing::Test {
     EXPECT_EQ(a.port_unreachables, b.port_unreachables);
   }
 
-  /// One legacy reference (single-threaded — the engine the paper-scale
-  /// results were originally produced by) against the pipeline at every
-  /// thread count. Pipeline runs agreeing with the same reference also
-  /// proves they agree with each other.
-  static void expect_engines_agree(double fault_rate) {
-    const EngineRun legacy = run_engine(true, fault_rate, 1);
+  static void expect_meets_pin(Testbed& testbed, const CampaignPin& pin) {
     for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE(testing::Message()
-                   << "fault_rate " << fault_rate << " threads " << threads);
-      const EngineRun pipeline = run_engine(false, fault_rate, threads);
-      EXPECT_EQ(pipeline.dataset.content_hash(), legacy.dataset.content_hash());
-      EXPECT_EQ(pipeline.dataset, legacy.dataset);
-      expect_counters_equal(pipeline.counters, legacy.counters);
+                   << pin.name << ", threads " << threads);
+      CampaignConfig config;
+      config.threads = threads;
+      if (pin.fault_rate > 0.0) {
+        config.faults = sim::FaultParams::uniform(pin.fault_rate);
+      }
+      Campaign campaign = Campaign::run(testbed, config);
+      const auto dataset =
+          data::CampaignDataset::from_campaign(std::move(campaign), "diff");
+      EXPECT_EQ(dataset.content_hash(), pin.content_hash);
+      expect_counters_equal(testbed.network().counters(), pin.counters);
     }
   }
 
@@ -107,35 +121,25 @@ class PipelineDifferentialTest : public ::testing::Test {
 Testbed* PipelineDifferentialTest::testbed_ = nullptr;
 
 TEST_F(PipelineDifferentialTest, EnginesBitIdenticalWithoutFaults) {
-  expect_engines_agree(0.0);
+  expect_meets_pin(*testbed_, kPins[0]);
 }
 
 TEST_F(PipelineDifferentialTest, EnginesBitIdenticalAtOnePercentFaults) {
-  expect_engines_agree(0.01);
+  expect_meets_pin(*testbed_, kPins[1]);
 }
 
 TEST_F(PipelineDifferentialTest, EnginesBitIdenticalAtTenPercentFaults) {
-  expect_engines_agree(0.10);
+  expect_meets_pin(*testbed_, kPins[2]);
 }
 
-TEST_F(PipelineDifferentialTest, LegacyEngineSelectableViaEnvAndSetter) {
-  sim::Network& net = testbed_->network();
-  EXPECT_FALSE(net.using_legacy_walk());  // pipeline is the default engine
-  net.set_walk_engine(true);
-  EXPECT_TRUE(net.using_legacy_walk());
-  net.set_walk_engine(false);
-
-  // The deprecation escape hatch: RROPT_LEGACY_WALK at Network
-  // construction selects the legacy engine without a code change.
-  ::setenv("RROPT_LEGACY_WALK", "1", 1);
-  {
-    TestbedConfig config;
-    config.topo_params = topo::TopologyParams::test_scale();
-    Testbed shared{testbed_->topology_ptr(), testbed_->behaviors_ptr(),
-                   config};
-    EXPECT_TRUE(shared.network().using_legacy_walk());
-  }
-  ::unsetenv("RROPT_LEGACY_WALK");
+/// The contended world drives the serial replay's kill path (the
+/// killed_counters reconstruction) on nearly every chunk. If buckets never
+/// killed here, the test world went stale, not the code.
+TEST_F(PipelineDifferentialTest, ContendedWorldMatchesPin) {
+  const CampaignPin& pin = kPins[3];
+  ASSERT_GT(pin.counters.dropped_rate_limit, 0u);
+  Testbed contended{pinned_world(true)};
+  expect_meets_pin(contended, pin);
 }
 
 TEST_F(PipelineDifferentialTest, InstalledFaultPlanRecompilesRunLists) {

@@ -122,7 +122,7 @@ TEST(RroptVerify, RandomLegalChainsProveSound) {
 // ----------------------------------------------- negative: each invariant
 
 TEST(RroptVerify, FlagsOutOfOrderOpcodes) {
-  // TTL before the CoPP gate breaks the load-bearing legacy branch order.
+  // TTL before the CoPP gate breaks the load-bearing branch order.
   const auto violations =
       verify::verify_list(pack({ElementOp::kTtl, ElementOp::kCoppGate}),
                           OptionState::kPresent, default_config());

@@ -3,9 +3,10 @@
 //
 //   rr-probe [--ases N] [--seed S] [--vp SITE] [--count K]
 //            [--type ping|rr|udp|trace] [--ttl T] [--target a.b.c.d]
-//            [--json]
+//            [--pps R] [--json]
 //
 // Without --target, probes the first K destinations of the world.
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -22,8 +23,15 @@ int main(int argc, char** argv) {
     std::printf(
         "usage: rr-probe [--ases N] [--seed S] [--vp SITE] [--count K]\n"
         "                [--type ping|rr|udp|trace] [--ttl T]\n"
-        "                [--target a.b.c.d] [--json]\n");
+        "                [--target a.b.c.d] [--pps R] [--json]\n"
+        "  --pps R  probes per second (default 20; must be finite and > 0)\n");
     return 0;
+  }
+  // The prober paces probes 1 / pps apart in virtual time.
+  const double pps = flags.get_double("pps", 20.0);
+  if (!std::isfinite(pps) || pps <= 0.0) {
+    std::fprintf(stderr, "error: --pps must be finite and > 0\n");
+    return 1;
   }
 
   measure::TestbedConfig config;
@@ -46,7 +54,7 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  auto prober = testbed.make_prober(vp->host, flags.get_double("pps", 20.0));
+  auto prober = testbed.make_prober(vp->host, pps);
   std::fprintf(stderr, "probing from %s (%s)\n", vp->site.c_str(),
                prober.source_address().to_string().c_str());
 

@@ -18,7 +18,7 @@ using sim::PipelineConfig;
 constexpr std::size_t kMaxRunOps = 8;
 
 /// Phase ranks mirror compile_run_table's emission order, which mirrors
-/// the legacy walk's branch order — load-bearing for bit-identity (a storm
+/// the retired walk's branch order — load-bearing for the pins (a storm
 /// doom must precede the CoPP gate so the doomed packet still consumes
 /// budget; filters run after the gate; TTL after the whole slow path;
 /// stamping last). The fused opcode carries the TTL rank and implicitly
