@@ -12,10 +12,15 @@
 namespace rr::route {
 namespace {
 
+// gtest prints this struct byte by byte and CTest uses that text as the
+// test name, so the padding is spelled out and zeroed: implicit padding
+// held stale stack bytes and renamed the tests on every build.
 struct WorldParam {
   std::uint64_t seed;
   topo::Epoch epoch;
+  std::uint8_t zero_pad[7] = {};
 };
+static_assert(sizeof(WorldParam) == 16, "no implicit padding in WorldParam");
 
 class RoutedWorld : public ::testing::TestWithParam<WorldParam> {
  protected:
