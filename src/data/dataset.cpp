@@ -225,6 +225,17 @@ std::optional<CampaignDataset> CampaignDataset::parse(
   if (!in.ok()) return std::nullopt;
   // Sanity caps against corrupt headers.
   if (n_vps > 100000 || n_dests > 50000000) return std::nullopt;
+  // The counts are untrusted (the trailer checksum is easy to forge), so
+  // bound them by the bytes that remain before anything is reserved: at
+  // least kMinVpBytes per VP record, kDestBytes per destination and
+  // kCellBytes per observation. Under the caps the sum fits in 64 bits.
+  constexpr std::uint64_t kMinVpBytes = 4 + 1;  // empty site + platform
+  constexpr std::uint64_t kDestBytes = 4 + 4 + 1 + 1;
+  constexpr std::uint64_t kCellBytes = 4;
+  const std::uint64_t needed =
+      std::uint64_t{n_vps} * kMinVpBytes + std::uint64_t{n_dests} * kDestBytes +
+      std::uint64_t{n_vps} * n_dests * kCellBytes;
+  if (needed > in.remaining()) return std::nullopt;
 
   dataset.vps.reserve(n_vps);
   for (std::uint32_t v = 0; v < n_vps; ++v) {

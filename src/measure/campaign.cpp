@@ -175,7 +175,8 @@ Campaign Campaign::run(Testbed& testbed, const CampaignConfig& config) {
     net.set_compiled_fib(route::CompiledFib::build(
         net.stitcher(), fib_sources,
         std::span<const topo::HostId>{campaign.dests_}.subspan(block_begin,
-                                                               block_len)));
+                                                               block_len),
+        &pool));
 
     // ------------------------------------------------- plain-ping study
     // Three pings per destination from the probe host (USC in the paper).

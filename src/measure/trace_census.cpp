@@ -19,11 +19,13 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
   return (h ^ word) * kFnvPrime;
 }
 
-/// One VP's census state — prober (persistent clock), gate over its own
-/// local set, deferred global discoveries, and private result tallies.
-/// Workers touch only their own PerVp plus lock-free global-set reads.
+/// One VP's census state — prober (persistent clock), reply routes, gate
+/// over its own local set, deferred global discoveries, and private result
+/// tallies. Workers touch only their own PerVp plus lock-free global-set
+/// and compiled-FIB reads.
 struct PerVp {
   std::unique_ptr<probe::Prober> prober;
+  std::unique_ptr<route::ReplyRoutes> replies;
   std::unique_ptr<StopSet> local;
   std::unique_ptr<DoubletreeGate> gate;
   std::vector<std::uint32_t> order;  // destination indices, seeded shuffle
@@ -115,6 +117,23 @@ TraceCensusResult run_trace_census(Testbed& testbed,
   }
   sample.resize(n_dests);
 
+  // Every forward probe and echo reply of the census runs between a VP
+  // and a sample destination, so one table compiled over VPs x sample
+  // resolves all of them; TTL-exceeded errors take the per-VP reply
+  // tables below. The table is installed for the census only, as
+  // Campaign::run does per block.
+  util::ThreadPool pool(threads);
+  sim::Network& net = testbed.network();
+  {
+    std::vector<topo::HostId> sources(n_vps);
+    for (std::size_t v = 0; v < n_vps; ++v) sources[v] = vps[v]->host;
+    std::vector<topo::HostId> targets(n_dests);
+    for (std::size_t i = 0; i < n_dests; ++i) targets[i] = dests[sample[i]];
+    net.set_compiled_fib(nullptr);
+    net.set_compiled_fib(
+        route::CompiledFib::build(net.stitcher(), sources, targets, &pool));
+  }
+
   // The shared (frozen-per-round) global set. Capacity is a heuristic
   // sized to the key population — roughly the per-prefix union of
   // interfaces over all VP paths; a saturated stripe only rejects new
@@ -126,8 +145,9 @@ TraceCensusResult run_trace_census(Testbed& testbed,
   per_vp.reserve(n_vps);
   for (std::size_t v = 0; v < n_vps; ++v) {
     auto p = std::make_unique<PerVp>();
+    p->replies = std::make_unique<route::ReplyRoutes>(vps[v]->host);
     p->prober = std::make_unique<probe::Prober>(
-        testbed.network(), vps[v]->host, [&] {
+        net, vps[v]->host, [&] {
           probe::Prober::Options options;
           options.pps = config.pps;
           return options;
@@ -145,7 +165,6 @@ TraceCensusResult run_trace_census(Testbed& testbed,
     per_vp.push_back(std::move(p));
   }
 
-  util::ThreadPool pool(threads);
   probe::TraceOptions topts;
   topts.max_ttl = config.max_ttl;
   topts.attempts = config.attempts;
@@ -158,6 +177,7 @@ TraceCensusResult run_trace_census(Testbed& testbed,
       probe::TraceOptions options = topts;
       options.gate = p.gate.get();
       options.counters = &p.tally;
+      options.reply_routes = p.replies.get();
       for (std::size_t i = begin; i < end; ++i) {
         const auto target =
             topology.host_at(dests[p.order[i]]).address;
@@ -176,13 +196,16 @@ TraceCensusResult run_trace_census(Testbed& testbed,
     }
   }
 
+  net.set_compiled_fib(nullptr);
+
   TraceCensusResult result;
   std::unordered_set<std::uint32_t> ifaces;
   std::unordered_set<std::uint64_t> links;
   result.schedule_hash = kFnvOffset;
   for (std::size_t v = 0; v < n_vps; ++v) {
     PerVp& p = *per_vp[v];
-    testbed.network().merge_counters(p.tally);
+    net.merge_counters(p.tally);
+    result.reply_routes += p.replies->size();
     result.traces += p.traces;
     result.reached += p.reached;
     result.probes_sent += p.probes_sent;

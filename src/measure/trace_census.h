@@ -12,6 +12,11 @@
 // stream is therefore a pure function of (seed, round size, stop-set
 // contents at round boundaries), never of thread timing, and the census
 // asserts that by folding every VP's schedule into schedule_hash.
+//
+// Routes come from tables built for the census, not from the network's
+// PathCache: a CompiledFib over VPs x the destination sample (built on the
+// census's pool) answers every probe and echo reply, and each VP's
+// route::ReplyRoutes answers the TTL-exceeded errors sent back to it.
 #pragma once
 
 #include <cstdint>
@@ -66,6 +71,10 @@ struct TraceCensusResult {
   /// TTLs, and hop list) folded in canonical VP order: bit-identical
   /// schedules <=> equal hashes, at any thread count.
   std::uint64_t schedule_hash = 0;
+
+  /// Router -> VP routes stitched into the per-VP reply tables, summed
+  /// across VPs: the distinct (responding router, VP) pairs of the census.
+  std::uint64_t reply_routes = 0;
 
   std::uint64_t local_keys = 0;   // summed across VPs
   std::uint64_t global_keys = 0;

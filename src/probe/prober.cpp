@@ -278,7 +278,9 @@ TracerouteResult Prober::traceroute(net::IPv4Address target,
     trace_results_.resize(static_cast<std::size_t>(window));
   }
   for (int k = 0; k < window; ++k) {
-    trace_ctxs_[static_cast<std::size_t>(k)].counters = sim::NetCounters{};
+    sim::SendContext& ctx = trace_ctxs_[static_cast<std::size_t>(k)];
+    ctx.counters = sim::NetCounters{};
+    ctx.reply_routes = options.reply_routes;
   }
   if (static_cast<int>(trace_hops_.size()) < max_ttl + 1) {
     trace_hops_.resize(static_cast<std::size_t>(max_ttl) + 1);

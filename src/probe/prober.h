@@ -43,6 +43,11 @@ struct TraceOptions {
   /// the network at a serial point), without one it is folded straight
   /// into the network totals — serial callers only.
   sim::NetCounters* counters = nullptr;
+  /// Router-to-source routes for the trace's TTL-exceeded errors
+  /// (routing/reply_routes.h), filled as the trace runs; nullptr routes
+  /// them through the network's path cache. Must serve this prober's
+  /// source and must not be used by another thread during the trace.
+  route::ReplyRoutes* reply_routes = nullptr;
 };
 
 class Prober {

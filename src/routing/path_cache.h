@@ -2,19 +2,23 @@
 //
 // Stitching a (source, destination) pair walks the AS path, the intra-AS
 // cores and the access chains, and derives per-hop ingress/egress
-// addresses — a few microseconds that the measurement layer used to pay on
-// *every* packet. Campaign traffic reuses pairs heavily (three plain pings
-// per destination, a forward stitch per probe and a reverse stitch per
-// reply, traceroutes re-stitching the same pair once per TTL), so the
-// cache computes each directed pair once and hands out shared immutable
-// hop lists after that.
+// addresses — a few microseconds. The cache computes each directed pair
+// once and hands out shared immutable hop lists after that. It is the
+// route source for traffic no compiled table covers: reverse traceroute,
+// the tools and examples, probes aimed at router interfaces, and any pair
+// a census FIB leaves uncovered. Census traffic does not come here: both
+// censuses resolve routes from tables compiled for them (routing/fib.h,
+// routing/reply_routes.h). perfbench/census_bench.cpp reports hits() and
+// misses() per census, which is how that stays visible.
 //
 // Concurrency: lookups take one shard mutex (64 shards, keyed by endpoint
 // pair); entries are shared_ptr-owned so a returned path stays valid even
 // if the entry is evicted by another thread. Capacity is bounded per shard
-// with FIFO eviction — at campaign scale the working set is the (VP x
-// destination) pair set of the current probe window, which FIFO tracks
-// well because probing is stream-ordered.
+// with FIFO eviction, which does not track a census-sized working set: the
+// 800-AS Doubletree trace census (141 VPs x 1,024 destinations) touches
+// 277,173 distinct keys against the 2^18 = 262,144 default slots, so when
+// it routed through this cache every census re-stitched all of them, even
+// on a warm testbed.
 #pragma once
 
 #include <atomic>

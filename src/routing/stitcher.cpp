@@ -113,10 +113,9 @@ bool PathStitcher::assemble(std::optional<HostId> src_host,
   return true;
 }
 
-net::IPv4Address PathStitcher::pick_interface(const topo::Topology& topology,
-                                              RouterId router,
-                                              std::uint64_t salt) {
-  const topo::Router& info = topology.router_at(router);
+net::IPv4Address PathStitcher::pick_interface(RouterId router,
+                                              std::uint64_t salt) const {
+  const topo::Router& info = topology_->router_at(router);
   if (info.interfaces.size() <= 1) return info.loopback;
   const std::size_t index =
       1 + static_cast<std::size_t>(pair_mix(router, salt) %

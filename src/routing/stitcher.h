@@ -16,9 +16,12 @@
 //
 // A stitcher holds no per-call state, so one instance may be shared by
 // concurrent callers as long as the oracle it wraps is itself safe for
-// concurrent queries (RoutingOracle is). Repeated stitches of the same
-// endpoint pair should go through route::PathCache instead of re-deriving
-// the hops each time.
+// concurrent queries (RoutingOracle is). It is the reference every
+// compiled route is checked against. Census traffic does not stitch per
+// probe: host paths come from a routing/fib.h table compiled over the
+// census's pairs, and trace errors from per-VP routing/reply_routes.h
+// tables that stitch each router once. Other traffic (revtr, tools)
+// stitches through route::PathCache.
 #pragma once
 
 #include <memory>
@@ -63,24 +66,17 @@ class PathStitcher {
   [[nodiscard]] std::optional<std::vector<PathHop>> host_path(HostId src,
                                                               HostId dst);
 
-  /// Salt tags for the per-host endpoint interface picks inside
-  /// derive_addresses(). Exposed (with pick_interface) so the compiled
-  /// forwarding plane (routing/fib.h) can re-derive the one host-dependent
-  /// address of a shared path spine bit-identically.
-  static constexpr std::uint64_t kSrcHostSaltTag = 0x9000000000000000ULL;
-  static constexpr std::uint64_t kDstSaltTag = 0xd000000000000000ULL;
-
-  /// Deterministic non-loopback interface pick for a router, used for
-  /// intra-AS adjacency and the path endpoints.
-  [[nodiscard]] static net::IPv4Address pick_interface(
-      const topo::Topology& topology, RouterId router, std::uint64_t salt);
-
   [[nodiscard]] const topo::Topology& topology() const noexcept {
     return *topology_;
   }
   [[nodiscard]] RoutingOracle& oracle() noexcept { return *oracle_; }
 
  private:
+  /// Salt tags for the per-host endpoint interface picks inside
+  /// derive_addresses().
+  static constexpr std::uint64_t kSrcHostSaltTag = 0x9000000000000000ULL;
+  static constexpr std::uint64_t kDstSaltTag = 0xd000000000000000ULL;
+
   /// Appends the routers strictly between `from` and `to` inside one AS
   /// (a deterministic selection of the AS's core routers).
   void append_intra(topo::AsId as, RouterId from, RouterId to,
@@ -100,10 +96,11 @@ class PathStitcher {
                         dst_salt, std::optional<HostId> src,
                         std::vector<PathHop>& out) const;
 
+  /// Deterministic non-loopback interface pick for a router, used for
+  /// intra-AS adjacency and the path endpoints. A router with at most two
+  /// interfaces (loopback + one) gets the same answer for every salt.
   [[nodiscard]] net::IPv4Address pick_interface(RouterId router,
-                                                std::uint64_t salt) const {
-    return pick_interface(*topology_, router, salt);
-  }
+                                                std::uint64_t salt) const;
 
   std::shared_ptr<const topo::Topology> topology_;
   RoutingOracle* oracle_;

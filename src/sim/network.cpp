@@ -83,6 +83,19 @@ bool Network::reverse_hops(HostId dst, HostId reply_to, SendContext* ctx,
   return true;
 }
 
+bool Network::error_hops(RouterId router, HostId reply_to, SendContext* ctx,
+                         route::PathCache::EntryPtr& entry,
+                         std::span<const route::PathHop>& hops) {
+  if (ctx != nullptr && ctx->reply_routes != nullptr &&
+      ctx->reply_routes->vp() == reply_to) {
+    return ctx->reply_routes->lookup(stitcher_, router, hops);
+  }
+  entry = paths_.router_path(router, reply_to);
+  if (!entry->routable) return false;
+  hops = entry->hops;
+  return true;
+}
+
 std::uint16_t Network::next_ip_id(bool is_router, std::uint32_t id,
                                   double now) {
   const double velocity = is_router ? behaviors_->router_ipid_velocity(id)
@@ -533,14 +546,15 @@ std::optional<Network::Delivery> Network::emit_router_error(
 
   // Route the error from the originating router back to the prober. The
   // error itself carries no options, so edge filters leave it alone.
-  const auto rev_entry = paths_.router_path(router, reply_to);
-  if (!rev_entry->routable) {
+  route::PathCache::EntryPtr rev_entry;
+  std::span<const route::PathHop> rev_hops;
+  if (!error_hops(router, reply_to, ctx, rev_entry, rev_hops)) {
     ++counters_for(ctx).dropped_unroutable;
     return std::nullopt;
   }
   const topo::AsId router_as = topology_->router_at(router).as_id;
   const topo::AsId reply_as = topology_->host_at(reply_to).as_id;
-  return deliver_back(offending, rev_entry->hops, time, router_as, reply_as,
+  return deliver_back(offending, rev_hops, time, router_as, reply_as,
                       reply_to, flow, ctx, /*doomed=*/false);
 }
 

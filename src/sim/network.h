@@ -53,6 +53,7 @@
 
 #include "routing/fib.h"
 #include "routing/path_cache.h"
+#include "routing/reply_routes.h"
 #include "routing/stitcher.h"
 #include "sim/behavior.h"
 #include "sim/fault.h"
@@ -98,6 +99,10 @@ struct SendContext {
   /// must stay valid while the reply leg resolves its own path.
   std::vector<route::PathHop> fwd_path_scratch;
   std::vector<route::PathHop> rev_path_scratch;
+  /// Router-to-VP routes for the errors a send raises on its way out
+  /// (routing/reply_routes.h). Consulted when the error's receiver is the
+  /// table's VP; otherwise, or when null, errors route via the PathCache.
+  route::ReplyRoutes* reply_routes = nullptr;
 };
 
 class Network {
@@ -199,11 +204,12 @@ class Network {
     return fault_plan_;
   }
   /// Installs (or, with nullptr, removes) a compiled forwarding table for
-  /// host-to-host campaign traffic. While installed, send() resolves
+  /// host-to-host census traffic (Campaign::run per destination block,
+  /// run_trace_census over its sample). While installed, send() resolves
   /// covered forward/reverse host paths from the table — bit-identical to
   /// the stitcher's output — and falls back to the path cache for pairs
-  /// outside its coverage. Swapping tables between campaign blocks is a
-  /// caller-serialized operation; concurrent sends must not be in flight.
+  /// outside its coverage. Swapping tables is a caller-serialized
+  /// operation; concurrent sends must not be in flight.
   void set_compiled_fib(std::shared_ptr<const route::CompiledFib> fib)
       RROPT_EXCLUDES(serial_gate_) {
     util::SerialGateLock gate(serial_gate_);
@@ -357,6 +363,13 @@ class Network {
   bool reverse_hops(HostId dst, HostId reply_to, SendContext* ctx,
                     route::PathCache::EntryPtr& entry,
                     std::span<const route::PathHop>& hops);
+
+  /// Resolves the route of a router-originated error (`router` ->
+  /// `reply_to`) via the context's reply table when it serves `reply_to`,
+  /// else the path cache. Same contract as reverse_hops.
+  bool error_hops(RouterId router, HostId reply_to, SendContext* ctx,
+                  route::PathCache::EntryPtr& entry,
+                  std::span<const route::PathHop>& hops);
 
   [[nodiscard]] std::uint16_t next_ip_id(bool is_router, std::uint32_t id,
                                          double now);

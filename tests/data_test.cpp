@@ -6,6 +6,7 @@
 
 #include "data/dataset.h"
 #include "data/jsonl.h"
+#include "hostile_rrds.h"
 #include "measure/testbed.h"
 #include "util/rng.h"
 
@@ -100,6 +101,21 @@ TEST_F(DatasetTest, CorruptionIsDetected) {
   bytes.resize(bytes.size() / 2);
   EXPECT_FALSE(CampaignDataset::parse(bytes).has_value());
   EXPECT_FALSE(CampaignDataset::parse({}).has_value());
+}
+
+TEST(DatasetHostile, HeaderCountsBeyondTheInputAreRejected) {
+  // Forged trailers, so the checksum passes and only the bounds on the
+  // header counts reject these (dataset_parse_bound checks that no
+  // allocation larger than the file happens on the way).
+  const auto many = hostile::many_destinations();
+  EXPECT_EQ(many.size(), 26u);
+  EXPECT_TRUE(net::checksum_ok(many));
+  EXPECT_FALSE(CampaignDataset::parse(many).has_value());
+  const auto huge = hostile::huge_matrix();
+  EXPECT_GT(huge.size(), 500'000u);
+  EXPECT_LT(huge.size(), 501'000u);
+  EXPECT_TRUE(net::checksum_ok(huge));
+  EXPECT_FALSE(CampaignDataset::parse(huge).has_value());
 }
 
 TEST_F(DatasetTest, LoadOfMissingFileFails) {

@@ -2,10 +2,11 @@
 // (campaign source, block destination) pair a CompiledFib covers, its
 // forward and reverse lookups must reproduce PathStitcher::host_path hop
 // for hop, and must report kUnroutable exactly when the stitcher finds no
-// path. The stitcher stays in the tree as that reference (and, through
-// the PathCache, as the FIB's miss fallback). Campaign outputs built on
-// the FIB are pinned in tests/pipeline_differential_test.cpp; thread
-// independence per stream block is CampaignDeterminism's.
+// path. The stitcher stays in the tree as that reference. A table built
+// on a thread pool must be the same table, and a column whose endpoint
+// pick varies by destination host must never be served. Campaign outputs
+// built on the FIB are pinned in tests/pipeline_differential_test.cpp;
+// thread independence per stream block is CampaignDeterminism's.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "measure/testbed.h"
 #include "routing/fib.h"
 #include "routing/stitcher.h"
+#include "util/thread_pool.h"
 
 namespace rr {
 namespace {
@@ -69,6 +71,13 @@ class FibEquivalence : public ::testing::Test {
     fib_ = CompiledFib::build(stitcher(), sources_, block_);
   }
 
+  /// Whether the endpoint interface pick at `host`'s access router ignores
+  /// the host's salt, so every host behind it can share one spine.
+  bool pick_is_constant(topo::HostId host) const {
+    const auto ar = topology().host_at(host).access_router;
+    return topology().router_at(ar).interfaces.size() <= 2;
+  }
+
   const topo::Topology& topology() const { return testbed_->topology(); }
   route::PathStitcher& stitcher() { return testbed_->network().stitcher(); }
 
@@ -113,9 +122,54 @@ TEST_F(FibEquivalence, ForwardAndReverseMatchStitcher) {
   EXPECT_LT(unroutable, checked / 2);
 }
 
+TEST_F(FibEquivalence, PoolBuildIsTheSameTable) {
+  // One source row per pool task, arenas concatenated in row order: every
+  // lookup must return what the caller-only build returns.
+  util::ThreadPool pool(4);
+  const auto parallel = CompiledFib::build(stitcher(), sources_, block_, &pool);
+  EXPECT_EQ(parallel->spine_pairs(), fib_->spine_pairs());
+  EXPECT_EQ(parallel->memory_bytes(), fib_->memory_bytes());
+  std::vector<PathHop> a, b;
+  for (const topo::HostId src : sources_) {
+    for (const topo::HostId dst : block_) {
+      ASSERT_EQ(parallel->forward(src, dst, a), fib_->forward(src, dst, b));
+      expect_hops_equal(a, b);
+      ASSERT_EQ(parallel->reverse(dst, src, a), fib_->reverse(dst, src, b));
+      expect_hops_equal(a, b);
+    }
+  }
+}
+
+TEST_F(FibEquivalence, VaryingEndpointPickIsNeverServed) {
+  // Every generated destination sits behind an access router with one
+  // interface besides its loopback, so the destination-salted endpoint
+  // pick is the same for every host of a column.
+  const auto dests = topology().destinations();
+  EXPECT_TRUE(std::all_of(dests.begin(), dests.end(), [&](topo::HostId d) {
+    return pick_is_constant(d);
+  }));
+  // Some other hosts (vantage points, the probe host, cloud hosts) sit
+  // behind routers with more, where the pick varies with the host. A
+  // column over them must never be served: another host behind the same
+  // router would get the representative's endpoint address.
+  std::vector<topo::HostId> varying;
+  for (topo::HostId h = 0; h < topology().hosts().size(); ++h) {
+    if (!pick_is_constant(h)) varying.push_back(h);
+  }
+  ASSERT_FALSE(varying.empty());
+  const auto fib = CompiledFib::build(stitcher(), sources_, varying);
+  std::vector<PathHop> hops;
+  for (const topo::HostId src : sources_) {
+    for (const topo::HostId dst : varying) {
+      EXPECT_EQ(fib->forward(src, dst, hops), CompiledFib::Lookup::kMiss);
+      EXPECT_EQ(fib->reverse(dst, src, hops), CompiledFib::Lookup::kMiss);
+    }
+  }
+}
+
 TEST_F(FibEquivalence, UncoveredPairsMiss) {
   // Outside the source rows or the block's access routers the table has
-  // no answer, and the network falls back to the path cache.
+  // no answer, and the network resolves the pair through the path cache.
   const topo::HostId outsider = block_.front();  // a host, but not a row
   std::vector<PathHop> hops;
   EXPECT_EQ(fib_->forward(outsider, block_.back(), hops),

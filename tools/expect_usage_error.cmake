@@ -1,6 +1,6 @@
 # Runs TOOL with the space-separated ARGS and fails unless it exits with
 # status 1 and names FLAG on stderr: a usage error, not a crash and not a
-# run that went ahead.
+# run that went ahead. FLAG may be any stderr text, e.g. a load error.
 #
 #   cmake -DTOOL=<exe> "-DARGS=--pps 0" -DFLAG=--pps -P expect_usage_error.cmake
 separate_arguments(args UNIX_COMMAND "${ARGS}")
